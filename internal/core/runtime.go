@@ -733,6 +733,9 @@ func (c *ThreadCtx) access(o pmo.OID, want paging.Perm, n int) (p *pmo.PMO, va u
 	// (DirectCharge, with one yield at the end): a randomization cannot
 	// move the mapping between translation and the permission checks,
 	// matching hardware where all threads are suspended during a remap.
+	// That yield is often free: when this thread still holds the minimum
+	// clock it resumes at once, with no goroutine switch (44% of fig11's
+	// scheduling steps).
 	defer c.th.Yield()
 
 	// Address translation.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -251,7 +252,7 @@ func (p *Pool) worker() {
 		p.mu.Unlock()
 
 		p.busy.Add(1)
-		res, err := RunCellCtx(j.ctx, j.cells[i], j.cache, j.ocfg)
+		res, err := runCellRecover(j.ctx, j.cells[i], j.cache, j.ocfg)
 		res.Err = err
 		p.busy.Add(-1)
 		p.completed.Add(1)
@@ -277,6 +278,18 @@ func (p *Pool) worker() {
 		}
 		p.mu.Unlock()
 	}
+}
+
+// runCellRecover is RunCellCtx with a panic turned into the cell's error,
+// with the panicking goroutine's stack attached: a faulty cell fails its
+// own job, and the worker and every other job live on.
+func runCellRecover(ctx context.Context, c Cell, cache *ProgCache, ocfg obs.Config) (res CellResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = CellResult{Cell: c}, fmt.Errorf("cell panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
+	return RunCellCtx(ctx, c, cache, ocfg)
 }
 
 // Close shuts the pool down: jobs still queued are canceled with

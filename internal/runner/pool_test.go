@@ -125,6 +125,29 @@ func TestPoolCancelMidGrid(t *testing.T) {
 	}
 }
 
+// TestPoolCellPanicFailsOnlyItsJob: a cell that panics (a generated
+// litmus suite of negative size) fails its own job with the panic and its
+// stack as the cell error, and the same pool then runs the next job.
+func TestPoolCellPanicFailsOnlyItsJob(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	bad := append(smallCells(1)[:2], Cell{Exp: "t", Kind: Litmus, Workload: "gen", Seed: 1, Ops: -1})
+	res, err := p.Run(context.Background(), bad, Options{Cache: NewProgCache()})
+	if err == nil || !strings.Contains(err.Error(), "cell panicked") {
+		t.Fatalf("Run error = %v, want a cell panic", err)
+	}
+	cerr := res[2].Err
+	if cerr == nil || !strings.Contains(cerr.Error(), "makeslice") || !strings.Contains(cerr.Error(), "litmus.Generate") {
+		t.Fatalf("panicking cell error = %v, want the panic and its stack", cerr)
+	}
+	if res[0].Err != nil || res[1].Err != nil {
+		t.Fatalf("healthy cells failed: %v, %v", res[0].Err, res[1].Err)
+	}
+	if _, err := p.Run(context.Background(), smallCells(2), Options{Cache: NewProgCache()}); err != nil {
+		t.Fatalf("Run after a cell panic: %v", err)
+	}
+}
+
 // TestPoolCloseCancelsQueued: closing a pool with an unfinished job
 // fails that job with ErrPoolClosed rather than hanging its caller.
 func TestPoolCloseCancelsQueued(t *testing.T) {

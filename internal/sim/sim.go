@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"runtime"
 )
 
 // Account names one overhead component in the execution-time breakdown.
@@ -132,7 +132,6 @@ type Thread struct {
 	turn chan struct{}
 	done bool
 	body func(*Thread)
-	err  error
 }
 
 // maxChargeStep bounds how far a machine-scheduled thread's clock may
@@ -181,15 +180,48 @@ func (t *Thread) AdvanceTo(c uint64, a Account) {
 
 // Yield hands control back to the machine scheduler, which will resume
 // this thread when it again holds the minimum clock. On threads that are
-// not machine-scheduled it is a no-op.
+// not machine-scheduled it is a no-op, and so it is on a thread unwinding
+// after a sibling panicked.
 func (t *Thread) Yield() {
 	m := t.machine
-	if m == nil {
+	if m == nil || m.err != nil {
 		return
 	}
 	t.yieldBudget = 0
-	m.park <- t
+	m.handoff(t)
+}
+
+// wait parks t until a scheduling step passes it the turn. A thread woken
+// after a sibling panicked exits at once, running its deferred calls.
+func (t *Thread) wait() {
 	<-t.turn
+	if t.machine.err != nil {
+		runtime.Goexit()
+	}
+}
+
+// run is the goroutine of a machine-scheduled thread. It waits for its
+// first turn, runs the body, and passes the turn on when the body returns,
+// panics or exits; a panic, including one raised by a hook during the
+// final step, is recorded for Run to re-raise.
+func (t *Thread) run() {
+	m := t.machine
+	handedOff := false
+	defer func() {
+		if handedOff {
+			return
+		}
+		if r := recover(); r != nil && m.err == nil {
+			m.err = fmt.Errorf("sim thread %d: %v", t.ID, r)
+		}
+		t.done = true
+		m.handoff(t)
+	}()
+	t.wait()
+	t.body(t)
+	t.done = true
+	m.handoff(t)
+	handedOff = true
 }
 
 // Machine is a deterministic cooperative scheduler for simulated threads.
@@ -203,11 +235,17 @@ type Machine struct {
 	Rand *rand.Rand
 
 	quantum uint64
-	park    chan *Thread
+	// finished is closed by the scheduling step that finds no unfinished
+	// thread left; Run waits on it.
+	finished chan struct{}
+	// err is the first thread panic; once set, scheduling steps only
+	// wake the remaining threads so that they exit.
+	err error
 
 	// tick is called with the new global low-water-mark time whenever
 	// it advances; the TERP hardware uses it to run timer sweeps.
-	tick func(now uint64)
+	tick     func(now uint64)
+	lastTick uint64
 
 	// SwitchHook, when set, observes every context switch: it is called
 	// with the resumed thread's clock and ID each time the scheduler
@@ -226,7 +264,6 @@ func NewMachine(seed int64, quantum uint64) *Machine {
 	return &Machine{
 		Rand:    rand.New(rand.NewSource(seed)),
 		quantum: quantum,
-		park:    make(chan *Thread),
 		lastRun: -1,
 	}
 }
@@ -249,59 +286,23 @@ func (m *Machine) AddThread(body func(*Thread)) *Thread {
 
 // Run executes all registered threads to completion under min-time
 // scheduling and returns the final global time (the max of thread clocks).
-// Any panic inside a thread body is re-raised on the caller.
+// Each scheduling step runs on the goroutine of the thread that yields or
+// finishes; Run makes the first step and waits for the last thread to
+// finish. If a thread body panics, every other unfinished thread exits
+// without resuming its body (its deferred calls run), and Run re-raises
+// the panic on the caller as "sim thread N: ...".
 func (m *Machine) Run() uint64 {
-	live := len(m.Threads)
-	if live == 0 {
+	if len(m.Threads) == 0 {
 		return 0
 	}
+	m.finished = make(chan struct{})
 	for _, t := range m.Threads {
-		t := t
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.err = fmt.Errorf("sim thread %d: %v", t.ID, r)
-				}
-				t.done = true
-				m.park <- t
-			}()
-			<-t.turn
-			t.body(t)
-		}()
+		go t.run()
 	}
-	// All threads start parked on their turn channel; wake the first.
-	runnable := make([]*Thread, len(m.Threads))
-	copy(runnable, m.Threads)
-	var lastTick uint64
-	for live > 0 {
-		// Pick the runnable thread with the minimum clock; ties are
-		// broken by thread ID for determinism.
-		sort.Slice(runnable, func(i, j int) bool {
-			if runnable[i].Clock != runnable[j].Clock {
-				return runnable[i].Clock < runnable[j].Clock
-			}
-			return runnable[i].ID < runnable[j].ID
-		})
-		next := runnable[0]
-		runnable = runnable[1:]
-		if m.tick != nil && next.Clock > lastTick {
-			lastTick = next.Clock
-			m.tick(lastTick)
-		}
-		if m.SwitchHook != nil && next.ID != m.lastRun {
-			m.SwitchHook(next.Clock, next.ID)
-		}
-		m.lastRun = next.ID
-		next.turn <- struct{}{}
-		parked := <-m.park
-		if parked.done {
-			live--
-			if parked.err != nil {
-				panic(parked.err)
-			}
-			continue
-		}
-		runnable = append(runnable, parked)
+	m.handoff(nil)
+	<-m.finished
+	if m.err != nil {
+		panic(m.err)
 	}
 	var end uint64
 	for _, t := range m.Threads {
@@ -310,6 +311,43 @@ func (m *Machine) Run() uint64 {
 		}
 	}
 	return end
+}
+
+// handoff is one scheduling step, run on the goroutine of from, the thread
+// that yields or finishes (nil for Run's first step). It picks the
+// unfinished thread with the minimum clock, ties broken by ID, runs the
+// tick and switch-hook bookkeeping, and passes it the turn. Resuming the
+// yielding thread itself costs no goroutine switch; otherwise from parks
+// until a later step picks it. After a panic it only wakes the next
+// unfinished thread, which exits and takes the next step in turn.
+func (m *Machine) handoff(from *Thread) {
+	var next *Thread
+	for _, t := range m.Threads {
+		if !t.done && (next == nil || t.Clock < next.Clock) {
+			next = t
+		}
+	}
+	if next == nil {
+		close(m.finished)
+		return
+	}
+	if m.err == nil {
+		if m.tick != nil && next.Clock > m.lastTick {
+			m.lastTick = next.Clock
+			m.tick(m.lastTick)
+		}
+		if m.SwitchHook != nil && next.ID != m.lastRun {
+			m.SwitchHook(next.Clock, next.ID)
+		}
+		m.lastRun = next.ID
+		if next == from {
+			return
+		}
+	}
+	next.turn <- struct{}{}
+	if from != nil && !from.done {
+		from.wait()
+	}
 }
 
 // Now returns the minimum clock across threads — the global simulated time
@@ -341,8 +379,10 @@ func (m *Machine) TotalCosts() Accounts {
 func SingleThread() *Thread { return &Thread{} }
 
 // DirectCharge advances the thread clock without a scheduler yield. It is
-// used by hardware-initiated work (sweep detaches, randomization stalls)
-// applied to threads that are parked at the time.
+// used where a yield must not happen: hardware-initiated work (sweep
+// detaches, randomization stalls) charged to threads other than the
+// running one, and the steps of an access that must stay atomic with
+// respect to the scheduler.
 func (t *Thread) DirectCharge(a Account, n uint64) {
 	if t.ChargeHook != nil {
 		t.ChargeHook(a, n)

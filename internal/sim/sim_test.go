@@ -1,8 +1,16 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"io"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestAccountsTotalsAndOverhead(t *testing.T) {
@@ -224,15 +232,98 @@ func TestMachineTotalCosts(t *testing.T) {
 	}
 }
 
-func TestMachinePanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic to propagate")
-		}
+// runPanicking runs m, returns what Run panicked with, and checks that no
+// thread goroutine outlives Run.
+func runPanicking(t *testing.T, m *Machine) any {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		m.Run()
 	}()
-	m := NewMachine(1, 100)
-	m.AddThread(func(th *Thread) { panic("boom") })
-	m.Run()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines after Run = %d, want <= %d (stranded sim threads?)", n, before)
+	}
+	return r
+}
+
+// TestMachinePanicPropagates: a panic in a thread body, or in a hook during
+// the step a finishing thread takes, is re-raised by Run as "sim thread N:
+// ..." only after every sibling goroutine has exited, each running its
+// deferred calls but no more of its body.
+func TestMachinePanicPropagates(t *testing.T) {
+	t.Run("one thread", func(t *testing.T) {
+		m := NewMachine(1, 100)
+		m.AddThread(func(th *Thread) { panic("boom") })
+		if r := runPanicking(t, m); fmt.Sprint(r) != "sim thread 0: boom" {
+			t.Fatalf("recovered %v, want \"sim thread 0: boom\"", r)
+		}
+	})
+	t.Run("four threads", func(t *testing.T) {
+		m := NewMachine(1, 10)
+		var unwound [4]bool
+		var chargesAfter [4]int
+		panicked := false
+		for i := 0; i < 4; i++ {
+			i := i
+			m.AddThread(func(th *Thread) {
+				defer func() {
+					unwound[i] = true
+					if i != 2 {
+						// A yield while exiting after the
+						// panic must not block. (One in the
+						// panicking thread's own defers still
+						// schedules: the panic is not recorded
+						// until its body has unwound.)
+						th.Charge(Base, 10)
+					}
+				}()
+				for j := 0; ; j++ {
+					if i == 2 && j == 5 {
+						panicked = true
+						panic("boom")
+					}
+					if panicked {
+						chargesAfter[i]++
+					}
+					th.Charge(Base, 10)
+				}
+			})
+		}
+		r := runPanicking(t, m)
+		if err, ok := r.(error); !ok || err.Error() != "sim thread 2: boom" {
+			t.Fatalf("recovered %v, want error \"sim thread 2: boom\"", r)
+		}
+		for i := range unwound {
+			if !unwound[i] {
+				t.Errorf("thread %d did not run its deferred calls", i)
+			}
+			if chargesAfter[i] != 0 {
+				t.Errorf("thread %d ran %d steps after the panic", i, chargesAfter[i])
+			}
+		}
+	})
+	t.Run("tick at finish", func(t *testing.T) {
+		m := NewMachine(1, 10)
+		m.SetTick(func(now uint64) {
+			if now == 100 {
+				panic("tick")
+			}
+		})
+		m.AddThread(func(th *Thread) {
+			th.DirectCharge(Base, 100)
+			th.Yield()
+		})
+		m.AddThread(func(th *Thread) { th.Charge(Base, 5) }) // finishes, then picks thread 0 at 100
+		if r := runPanicking(t, m); fmt.Sprint(r) != "sim thread 1: tick" {
+			t.Fatalf("recovered %v, want \"sim thread 1: tick\"", r)
+		}
+	})
 }
 
 func TestMachineEmptyRun(t *testing.T) {
@@ -269,4 +360,153 @@ func TestYieldQuantumForcesInterleaving(t *testing.T) {
 	if switches < 5 {
 		t.Fatalf("threads did not interleave: %v", seq)
 	}
+}
+
+// oracleScript runs one seeded random charge script and writes its full
+// scheduler trace into h: which thread starts each step and at what clock,
+// every SwitchHook call, every tick argument, and the final clocks and
+// accounts. Scripts mix equal-clock ties (charges are multiples of a
+// small unit), DirectCharge, explicit yields, AdvanceTo, charges longer
+// than maxChargeStep, and a tick hook that stalls every thread with
+// ChargeAll.
+func oracleScript(h io.Writer, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	quanta := []uint64{1, 50, 200, 1000}
+	m := NewMachine(seed, quanta[rng.Intn(len(quanta))])
+	rec := func(tag byte, a, b uint64) {
+		var buf [17]byte
+		buf[0] = tag
+		binary.LittleEndian.PutUint64(buf[1:], a)
+		binary.LittleEndian.PutUint64(buf[9:], b)
+		h.Write(buf[:])
+	}
+	m.SwitchHook = func(ts uint64, thread int) { rec('s', ts, uint64(thread)) }
+	stallEvery := uint64(1 + rng.Intn(5))
+	var ticks uint64
+	m.SetTick(func(now uint64) {
+		rec('t', now, 0)
+		if ticks++; ticks%stallEvery == 0 {
+			m.ChargeAll(Rand, uint64(rng.Intn(3))*100)
+		}
+	})
+	type op struct {
+		kind int
+		a    Account
+		n    uint64
+	}
+	n := 1 + rng.Intn(8)
+	for i := 0; i < n; i++ {
+		script := make([]op, 1+rng.Intn(60))
+		for j := range script {
+			o := op{kind: rng.Intn(10), a: Account(rng.Intn(int(numAccounts)))}
+			switch {
+			case o.kind < 5: // Charge: a multiple of 50, often tying
+				o.n = uint64(rng.Intn(9)) * 50
+			case o.kind < 6: // Charge longer than one timer period
+				o.n = maxChargeStep + uint64(rng.Intn(3*maxChargeStep))
+			case o.kind < 8: // DirectCharge
+				o.n = uint64(rng.Intn(5)) * 100
+			case o.kind < 9: // Yield
+			default: // AdvanceTo a point near the global low-water mark
+				o.n = uint64(rng.Intn(4)) * 300
+			}
+			script[j] = o
+		}
+		m.AddThread(func(th *Thread) {
+			for _, o := range script {
+				rec('r', th.Clock, uint64(th.ID))
+				switch {
+				case o.kind < 6:
+					th.Charge(o.a, o.n)
+				case o.kind < 8:
+					th.DirectCharge(o.a, o.n)
+				case o.kind < 9:
+					th.Yield()
+				default:
+					th.AdvanceTo(m.Now()+o.n, o.a)
+				}
+			}
+		})
+	}
+	rec('e', m.Run(), uint64(n))
+	for _, th := range m.Threads {
+		rec('c', th.Clock, uint64(th.ID))
+		for a, v := range th.Costs {
+			rec('a', v, uint64(a))
+		}
+	}
+}
+
+// TestMachineInterleavingOracle pins the scheduler's absolute interleaving:
+// the digest over 200 random scripts was recorded from the channel-and-sort
+// scheduler this one replaced, so any change to resume order, tick
+// arguments or switch-hook calls shows here.
+func TestMachineInterleavingOracle(t *testing.T) {
+	h := sha256.New()
+	for seed := int64(1); seed <= 200; seed++ {
+		oracleScript(h, seed)
+	}
+	const want = "40f3541e0017495fc81c51d4e7eb9b2cb89c56590754a65ce5224040c956e978"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("interleaving digest = %s, want %s", got, want)
+	}
+}
+
+// TestMachineTickAfterSiblingsFinish: once every other thread has
+// finished, each yield resumes the same thread, and the tick must still
+// fire as its clock advances.
+func TestMachineTickAfterSiblingsFinish(t *testing.T) {
+	m := NewMachine(1, 10)
+	var ticks []uint64
+	m.SetTick(func(now uint64) { ticks = append(ticks, now) })
+	m.AddThread(func(th *Thread) { th.Charge(Base, 10) })
+	m.AddThread(func(th *Thread) {
+		for j := 0; j < 10; j++ {
+			th.Charge(Base, 10)
+		}
+	})
+	m.Run()
+	want := []uint64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
+	if fmt.Sprint(ticks) != fmt.Sprint(want) {
+		t.Fatalf("ticks = %v, want %v", ticks, want)
+	}
+}
+
+var benchEnd uint64
+
+// BenchmarkMachineHandoff times one scheduling step per op. cross mirrors
+// the perfbench sim.yield_ns probe: four threads charging one quantum at
+// a time, so every step resumes another thread. same keeps one thread far
+// behind three others, so every step resumes the thread that yielded.
+func BenchmarkMachineHandoff(b *testing.B) {
+	b.Run("cross", func(b *testing.B) {
+		b.ReportAllocs()
+		m := NewMachine(1, 200)
+		for i := 0; i < 4; i++ {
+			m.AddThread(func(th *Thread) {
+				for j := 0; j < b.N/4+1; j++ {
+					th.Charge(Base, 200)
+				}
+			})
+		}
+		b.ResetTimer()
+		benchEnd = m.Run()
+	})
+	b.Run("same", func(b *testing.B) {
+		b.ReportAllocs()
+		m := NewMachine(1, 200)
+		m.AddThread(func(th *Thread) {
+			for j := 0; j < b.N; j++ {
+				th.Charge(Base, 200)
+			}
+		})
+		for i := 0; i < 3; i++ {
+			m.AddThread(func(th *Thread) {
+				th.DirectCharge(Base, math.MaxUint64/2)
+				th.Yield()
+			})
+		}
+		b.ResetTimer()
+		benchEnd = m.Run()
+	})
 }
